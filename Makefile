@@ -19,10 +19,14 @@ test:
 
 # The scheduler, experiment caches, the sharded replay engine, the
 # discrete-event engine, the replica dispatcher and the open-loop traffic
-# generator are the concurrency-sensitive core; run them under the race
+# generator are the concurrency-sensitive core. The HyperCompressBench pool
+# build and its ratio-index memo, the concurrent corpus generator, the pooled
+# encoders, the zstdlite table cache, the striped obs counters and the
+# memoized fleet tables also hold shared state. Run them all under the race
 # detector.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/des/... ./internal/exp/... ./internal/sim/... ./internal/traffic/...
+	$(GO) test -race ./internal/cluster/... ./internal/des/... ./internal/exp/... ./internal/sim/... ./internal/traffic/... \
+		./internal/hcbench/... ./internal/corpus/... ./internal/comp/... ./internal/zstdlite/... ./internal/obs/... ./internal/fleet/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -17,6 +17,8 @@ package cdpu
 import (
 	"bytes"
 	"io"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"cdpu/internal/comp"
@@ -151,18 +153,43 @@ func BenchmarkFleetSampling(b *testing.B) {
 	}
 }
 
+// hcbSink keeps the assembled payload live so the call is not optimized away.
+var hcbSink []byte
+
+// BenchmarkHCBAssembly times Pool.Assemble alone, over a prebuilt pool.
 func BenchmarkHCBAssembly(b *testing.B) {
 	pool, err := hcbench.BuildPool(corpus.SmallSuite(), hcbench.DefaultChunkSize, comp.Snappy, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = pool
-	spec := hcbench.Spec{Algo: comp.Snappy, Op: comp.Compress, N: 5, MaxFileBytes: 256 << 10, Seed: 9}
+	const size = 256 << 10
+	rng := rand.New(rand.NewSource(9))
+	b.SetBytes(size)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcbench.GenerateFromCorpus(spec, corpus.SmallSuite()); err != nil {
-			b.Fatal(err)
-		}
+		hcbSink = pool.Assemble(rng, size, 2.0)
+	}
+}
+
+// BenchmarkHCBBuildPool times chunking and ratio-indexing the small corpus
+// under each reference algorithm; bytes/s counts corpus bytes indexed.
+func BenchmarkHCBBuildPool(b *testing.B) {
+	files := corpus.SmallSuite()
+	var total int64
+	for _, f := range files {
+		total += int64(len(f.Data))
+	}
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		b.Run(strings.ToLower(algo.String()), func(b *testing.B) {
+			b.SetBytes(total)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hcbench.BuildPool(files, hcbench.DefaultChunkSize, algo, algo.DefaultLevel()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

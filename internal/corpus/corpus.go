@@ -12,7 +12,9 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // Kind identifies a synthetic data family.
@@ -400,10 +402,20 @@ func StandardSuite() []File {
 		{"ooffice.bin", Skewed, 1 << 20, 27},
 		{"reymont.bin", Skewed, 512 << 10, 28},
 	}
+	// Each file has its own seed, so the files are generated concurrently,
+	// at most GOMAXPROCS at a time, and stored by index.
 	files := make([]File, len(specs))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i, s := range specs {
-		files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			files[i] = File{Name: s.name, Kind: s.kind, Data: Generate(s.kind, s.size, s.seed)}
+		}()
 	}
+	wg.Wait()
 	return files
 }
 

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -83,6 +84,23 @@ func TestStandardSuite(t *testing.T) {
 	}
 	if total < 16<<20 {
 		t.Errorf("suite total %d bytes, want >= 16 MiB", total)
+	}
+}
+
+func TestStandardSuiteIndependentOfGOMAXPROCS(t *testing.T) {
+	suite := func(procs int) []File {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return StandardSuite()
+	}
+	serial, parallel := suite(1), suite(4)
+	if len(serial) != len(parallel) {
+		t.Fatalf("%d files at GOMAXPROCS 1, %d at 4", len(serial), len(parallel))
+	}
+	for i := range serial {
+		a, b := serial[i], parallel[i]
+		if a.Name != b.Name || a.Kind != b.Kind || !bytes.Equal(a.Data, b.Data) {
+			t.Errorf("file %d: %s at GOMAXPROCS 1, %s at 4", i, a.Name, b.Name)
+		}
 	}
 }
 

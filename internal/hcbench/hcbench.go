@@ -10,13 +10,23 @@
 // with random shuffles to avoid pathological chunk orderings. The paper
 // generates 8,000–10,000 files per algorithm/op pair; Spec.N scales that
 // down for tractable runs while preserving the sampled distributions.
+//
+// Indexing dominates generation cost. BuildPool compresses chunks on
+// GOMAXPROCS goroutines, each reusing one encoder, and stores every ratio by
+// chunk index, so the pool is identical at any parallelism. Generate keeps
+// the standard corpus's ratio index (not the pool or the corpus) once per
+// process for each (algorithm, level, chunk size), so an algorithm's
+// compress and decompress suites share one indexing pass.
 package hcbench
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
@@ -43,24 +53,142 @@ type Pool struct {
 // BuildPool chunks the corpus files and indexes each chunk by the ratio the
 // reference algorithm achieves on it.
 func BuildPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLevel int) (*Pool, error) {
+	p, err := newPool(files, chunkSize, refAlgo, refLevel)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.index(); err != nil {
+		return nil, err
+	}
+	p.sort()
+	return p, nil
+}
+
+// newPool splits the corpus files into chunks, in file order, without
+// indexing them.
+func newPool(files []corpus.File, chunkSize int, refAlgo comp.Algorithm, refLevel int) (*Pool, error) {
 	if chunkSize < 256 {
 		return nil, fmt.Errorf("hcbench: chunk size %d too small", chunkSize)
 	}
-	p := &Pool{refAlgo: refAlgo, refLevel: refLevel}
+	n := 0
 	for _, f := range files {
-		for off := 0; off+chunkSize <= len(f.Data); off += chunkSize {
-			c := f.Data[off : off+chunkSize]
-			enc, err := comp.CompressCall(refAlgo, refLevel, 0, c)
-			if err != nil {
-				return nil, fmt.Errorf("hcbench: indexing %s: %w", f.Name, err)
-			}
-			p.chunks = append(p.chunks, chunk{data: c, ratio: float64(len(c)) / float64(len(enc))})
-		}
+		n += len(f.Data) / chunkSize
 	}
-	if len(p.chunks) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("hcbench: empty pool")
 	}
+	p := &Pool{chunks: make([]chunk, 0, n), refAlgo: refAlgo, refLevel: refLevel}
+	for _, f := range files {
+		for off := 0; off+chunkSize <= len(f.Data); off += chunkSize {
+			p.chunks = append(p.chunks, chunk{data: f.Data[off : off+chunkSize]})
+		}
+	}
+	return p, nil
+}
+
+// index compresses every chunk under the reference algorithm on GOMAXPROCS
+// goroutines and records its ratio in the chunk's own slot, so the result
+// does not depend on which goroutine took which chunk. Each goroutine owns
+// one pooled Coder and output buffer: the encoder's hash tables are built
+// once per goroutine rather than once per chunk, and a reused encoder emits
+// the same bytes as a fresh one.
+func (p *Pool) index() error {
+	workers := min(runtime.GOMAXPROCS(0), len(p.chunks))
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			coder := comp.NewCoder()
+			var enc []byte
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(p.chunks) {
+					return
+				}
+				c := &p.chunks[i]
+				var err error
+				enc, err = coder.AppendCompress(enc[:0], p.refAlgo, p.refLevel, 0, c.data)
+				if err != nil {
+					errs[w] = fmt.Errorf("hcbench: indexing %v chunks: %w", p.refAlgo, err)
+					return
+				}
+				c.ratio = float64(len(c.data)) / float64(len(enc))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sort orders the indexed chunks by ratio. The input order is always the
+// corpus order, so equal ratios resolve the same way on every build.
+func (p *Pool) sort() {
 	sort.Slice(p.chunks, func(i, j int) bool { return p.chunks[i].ratio < p.chunks[j].ratio })
+}
+
+// ratioKey identifies one ratio index of the standard corpus.
+type ratioKey struct {
+	algo             comp.Algorithm
+	level, chunkSize int
+}
+
+// ratioIndex is one memoized ratio index: the chunk ratios in corpus order.
+type ratioIndex struct {
+	once   sync.Once
+	ratios []float64
+	err    error
+}
+
+// standardRatios memoizes, per (algorithm, level, chunk size), the ratio
+// of every standard-corpus chunk, so the compress and decompress suites of
+// one algorithm compress the corpus once per process. Only the ratios are
+// kept (about 140 KB per key at the default chunk size): pinning the pool or
+// the corpus itself would keep ~33 MB alive for the life of the process.
+var standardRatios = struct {
+	sync.Mutex
+	m map[ratioKey]*ratioIndex
+}{m: make(map[ratioKey]*ratioIndex)}
+
+// standardPool builds a pool over the standard corpus, taking its chunk
+// ratios from the memo. Concurrent misses on one key wait for a single
+// indexing pass.
+func standardPool(chunkSize int, refAlgo comp.Algorithm, refLevel int) (*Pool, error) {
+	p, err := newPool(corpus.StandardSuite(), chunkSize, refAlgo, refLevel)
+	if err != nil {
+		return nil, err
+	}
+	key := ratioKey{algo: refAlgo, level: refLevel, chunkSize: chunkSize}
+	standardRatios.Lock()
+	idx := standardRatios.m[key]
+	if idx == nil {
+		idx = &ratioIndex{}
+		standardRatios.m[key] = idx
+	}
+	standardRatios.Unlock()
+	idx.once.Do(func() {
+		if idx.err = p.index(); idx.err != nil {
+			return
+		}
+		idx.ratios = make([]float64, len(p.chunks))
+		for i, c := range p.chunks {
+			idx.ratios[i] = c.ratio
+		}
+	})
+	if idx.err != nil {
+		return nil, idx.err
+	}
+	for i := range p.chunks {
+		p.chunks[i].ratio = idx.ratios[i]
+	}
+	p.sort()
 	return p, nil
 }
 
@@ -105,6 +233,12 @@ func (p *Pool) pick(rng *rand.Rand, want float64, used map[int]bool) int {
 // concatenation creates cross-chunk redundancy that per-chunk ratios cannot
 // predict, so the estimator carries a measured bias term.
 func (p *Pool) Assemble(rng *rand.Rand, targetBytes int, targetRatio float64) []byte {
+	return p.assemble(comp.NewCoder(), rng, targetBytes, targetRatio)
+}
+
+// assemble is Assemble with the checkpoint compressions run through coder.
+func (p *Pool) assemble(coder *comp.Coder, rng *rand.Rand, targetBytes int, targetRatio float64) []byte {
+	var enc []byte
 	out := make([]byte, 0, targetBytes+DefaultChunkSize)
 	var compSum float64 // compressed-size estimate of assembled chunks
 	bias := 1.0         // measured-vs-estimated compressed-size correction
@@ -128,7 +262,8 @@ func (p *Pool) Assemble(rng *rand.Rand, targetBytes int, targetRatio float64) []
 		compSum += float64(len(c.data)) / c.ratio
 		picks++
 		if picks == nextEval && len(out) < targetBytes {
-			if enc, err := comp.CompressCall(p.refAlgo, p.refLevel, 0, out); err == nil {
+			var err error
+			if enc, err = coder.AppendCompress(enc[:0], p.refAlgo, p.refLevel, 0, out); err == nil {
 				bias = float64(len(enc)) / compSum
 			}
 			nextEval *= 2
@@ -174,13 +309,26 @@ type Spec struct {
 }
 
 // Generate produces a suite from spec, building its chunk pool from the
-// standard synthetic corpus.
+// standard synthetic corpus. The chunk ratios are indexed once per process
+// for each (algorithm, level, chunk size); the output is identical to
+// GenerateFromCorpus(spec, corpus.StandardSuite()).
 func Generate(spec Spec) (*Suite, error) {
-	return GenerateFromCorpus(spec, corpus.StandardSuite())
+	return generate(spec, func(chunkSize int) (*Pool, error) {
+		return standardPool(chunkSize, spec.Algo, spec.Algo.DefaultLevel())
+	})
 }
 
 // GenerateFromCorpus produces a suite using the given corpus files.
 func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
+	return generate(spec, func(chunkSize int) (*Pool, error) {
+		return BuildPool(files, chunkSize, spec.Algo, spec.Algo.DefaultLevel())
+	})
+}
+
+// generate samples spec.N files from the fleet profiles and assembles each
+// from the pool that build returns, running every checkpoint compression
+// through one Coder.
+func generate(spec Spec, build func(chunkSize int) (*Pool, error)) (*Suite, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("hcbench: N must be positive")
 	}
@@ -188,7 +336,7 @@ func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 	if chunkSize == 0 {
 		chunkSize = DefaultChunkSize
 	}
-	pool, err := BuildPool(files, chunkSize, spec.Algo, spec.Algo.DefaultLevel())
+	pool, err := build(chunkSize)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +345,7 @@ func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 	levels := fleet.ZStdLevels()
 	windows := fleet.ZStdWindows(spec.Op)
 	loRatio, hiRatio := pool.RatioRange()
+	coder := comp.NewCoder()
 
 	suite := &Suite{Algo: spec.Algo, Op: spec.Op}
 	for i := 0; i < spec.N; i++ {
@@ -222,7 +371,7 @@ func GenerateFromCorpus(spec Spec, files []corpus.File) (*Suite, error) {
 		target := agg * math.Exp(rng.NormFloat64()*0.35)
 		target = math.Max(loRatio, math.Min(hiRatio, target))
 		f.TargetRatio = target
-		f.Data = pool.Assemble(rng, size, target)
+		f.Data = pool.assemble(coder, rng, size, target)
 		suite.Files = append(suite.Files, f)
 	}
 	return suite, nil

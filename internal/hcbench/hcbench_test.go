@@ -75,6 +75,9 @@ func TestPoolBuildErrors(t *testing.T) {
 	if _, err := BuildPool(nil, DefaultChunkSize, comp.Snappy, 0); err == nil {
 		t.Error("empty corpus accepted")
 	}
+	if _, err := BuildPool(testCorpus(), DefaultChunkSize, comp.Algorithm(99), 0); err == nil {
+		t.Error("unknown reference algorithm accepted")
+	}
 }
 
 func TestAssembleHitsSizeTarget(t *testing.T) {
@@ -229,5 +232,26 @@ func TestTotalUncompressedBytes(t *testing.T) {
 	}
 	if s.TotalUncompressedBytes() != total {
 		t.Error("byte accounting mismatch")
+	}
+}
+
+func TestBuildPoolAllocsIndependentOfChunkCount(t *testing.T) {
+	// Indexing reuses one encoder and output buffer per goroutine, so a
+	// corpus twice as large costs no more allocations; a per-chunk encoder
+	// would add several per chunk.
+	files := corpus.SmallSuite()
+	doubled := append(append([]corpus.File(nil), files...), files...)
+	for _, algo := range []comp.Algorithm{comp.Snappy, comp.ZStd} {
+		allocs := func(files []corpus.File) float64 {
+			return testing.AllocsPerRun(1, func() {
+				if _, err := BuildPool(files, DefaultChunkSize, algo, algo.DefaultLevel()); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		single, double := allocs(files), allocs(doubled)
+		if double > single {
+			t.Errorf("%v: BuildPool allocs grew from %v to %v when the chunk count doubled", algo, single, double)
+		}
 	}
 }

@@ -21,12 +21,13 @@ test:
 # discrete-event engine, the replica dispatcher and the open-loop traffic
 # generator are the concurrency-sensitive core. The HyperCompressBench pool
 # build and its ratio-index memo, the concurrent corpus generator, the pooled
-# encoders, the zstdlite table cache, the striped obs counters and the
-# memoized fleet tables also hold shared state. Run them all under the race
-# detector.
+# encoders, the zstdlite table cache, the striped obs counters, the memoized
+# fleet tables and the device model's hot-path call counters (core) also hold
+# shared state. Run them all under the race detector.
 race:
 	$(GO) test -race ./internal/cluster/... ./internal/des/... ./internal/exp/... ./internal/sim/... ./internal/traffic/... \
-		./internal/hcbench/... ./internal/corpus/... ./internal/comp/... ./internal/zstdlite/... ./internal/obs/... ./internal/fleet/...
+		./internal/hcbench/... ./internal/corpus/... ./internal/comp/... ./internal/zstdlite/... ./internal/obs/... ./internal/fleet/... \
+		./internal/core/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

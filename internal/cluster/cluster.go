@@ -27,8 +27,8 @@ import (
 	"cdpu/internal/traffic"
 )
 
-// Failover outcome instruments; they reconcile with the Totals a Replay
-// returns (and, one level up, with sim.Report counters).
+// Failover outcome instruments; they reconcile with the Totals a
+// GroupState.Finish returns (and, one level up, with sim.Report counters).
 var (
 	metricFailovers = obs.Default().Counter("cluster.failovers")
 	metricHedged    = obs.Default().Counter("cluster.hedged_calls")
@@ -160,7 +160,7 @@ type Call struct {
 	Target float64
 }
 
-// Totals aggregates the failover outcomes of one Replay.
+// Totals aggregates the failover outcomes of one group pass.
 type Totals struct {
 	Failovers         int     // re-dispatch hops after a failed attempt
 	HedgedCalls       int     // calls that fired a hedge dispatch
@@ -333,32 +333,10 @@ func order(cand []int, free [][]float64, brk []Breaker, rot, active int) []int {
 	return cand
 }
 
-// Replay dispatches calls (sorted by Arrival) across the group's replicas in
-// one deterministic serial pass and returns per-call results, the device
-// statistics of the whole group (utilization is over replicas × pipelines),
-// and the failover totals. On an unservable call it returns a *CallError
-// carrying the call's global Index; because calls are processed in order,
-// that is the lowest failing index in the group.
-func (g *Group) Replay(calls []Call) ([]core.JobResult, core.DeviceStats, Totals, error) {
-	st := g.NewState(len(calls))
-	if len(calls) == 0 {
-		return nil, core.DeviceStats{}, st.tot, nil
-	}
-	for i := range calls {
-		if err := st.Step(&calls[i]); err != nil {
-			return nil, core.DeviceStats{}, st.tot, err
-		}
-	}
-	results, devStats, tot := st.Finish()
-	return results, devStats, tot, nil
-}
-
-// GroupState is Replay unrolled into one Step per call, so a discrete-event
-// engine can drive a replica group arrival by arrival instead of walking a
-// fully materialized call slice. Replay itself is now a thin loop over Step +
-// Finish; the per-call arithmetic is the same operations in the same order,
-// so driving the state from an event queue produces results bit-identical to
-// the serial pass.
+// GroupState is the group's deterministic failover dispatch pass, stepped
+// one call at a time so a discrete-event engine can drive a replica group
+// arrival by arrival. Per-call results cover the whole group (utilization is
+// over replicas × pipelines), and Finish also returns the failover totals.
 type GroupState struct {
 	g      *Group
 	nR, nP int
@@ -430,9 +408,6 @@ func (g *Group) NewState(n int) *GroupState {
 	}
 	return st
 }
-
-// Calls returns how many calls have been stepped so far.
-func (st *GroupState) Calls() int { return st.n }
 
 // Restarts returns the warm-restart count accumulated so far. A
 // discrete-event driver diffs it across Steps to attribute restart work to
@@ -537,8 +512,9 @@ func (st *GroupState) bookBurn(at, latency float64, shed bool, target float64) {
 
 // Step admits, dispatches and completes one call. Arrivals must be
 // non-decreasing across calls. On an unservable call it finishes the breaker
-// books and returns a *CallError carrying the call's global Index; the state
-// must not be stepped again after an error.
+// books and returns a *CallError carrying the call's global Index — because
+// calls are stepped in order, the lowest failing index in the group; the
+// state must not be stepped again after an error.
 func (st *GroupState) Step(c *Call) error {
 	g := st.g
 	i := st.n
@@ -556,7 +532,7 @@ func (st *GroupState) Step(c *Call) error {
 	st.prev = c.Arrival
 	st.n++
 	// Group-level admission: one logical queue in front of the replica
-	// set, same FIFO-window bookkeeping as core.ReplayPolicy. The window is
+	// set, same FIFO-window bookkeeping as core.ReplayState. The window is
 	// also maintained bound-free when the autoscaler needs to read the
 	// depth; the scaler acts before admission, so a burst can activate a
 	// replica on the very arrival that would otherwise be refused.
@@ -772,8 +748,8 @@ func (st *GroupState) Step(c *Call) error {
 	st.hist.observe(done - now)
 	st.tot.Dispatches[sr]++
 
-	// Pipeline quarantine, ported from core.ReplayPolicy and keyed by
-	// (replica, pipeline).
+	// Pipeline quarantine, the same sliding-window rule as core.ReplayState,
+	// keyed by (replica, pipeline).
 	if st.faultLog != nil && c.Faults > 0 {
 		key := sr*st.nP + sp
 		log := st.faultLog[key]

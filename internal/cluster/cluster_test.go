@@ -39,6 +39,19 @@ func synthCalls(n int, seed uint64) []Call {
 	return calls
 }
 
+// replayGroup steps one GroupState over calls (sorted by Arrival) and
+// finishes it, stopping at the first unservable call.
+func replayGroup(g *Group, calls []Call) ([]core.JobResult, core.DeviceStats, Totals, error) {
+	st := g.NewState(len(calls))
+	for i := range calls {
+		if err := st.Step(&calls[i]); err != nil {
+			return nil, core.DeviceStats{}, st.tot, err
+		}
+	}
+	results, devStats, tot := st.Finish()
+	return results, devStats, tot, nil
+}
+
 func refPolicy() FailoverPolicy {
 	return FailoverPolicy{
 		MaxFailovers:          3,
@@ -52,11 +65,12 @@ func refPolicy() FailoverPolicy {
 	}
 }
 
-// TestGroupMatchesReplayPolicy pins the dispatch arithmetic to the proven
+// TestGroupMatchesDeviceStepper pins the dispatch arithmetic to the proven
 // single-device engine: with one replica, the zero failover policy and no
-// lifecycle, Group.Replay must reproduce core.Device.ReplayPolicy exactly —
-// results, stats, admission shedding and quarantines included.
-func TestGroupMatchesReplayPolicy(t *testing.T) {
+// lifecycle, a GroupState must reproduce core.ReplayState exactly — results,
+// stats, admission shedding and quarantines included. The two steppers are
+// independent implementations of the same FCFS queue.
+func TestGroupMatchesDeviceStepper(t *testing.T) {
 	dev, err := core.NewDevice(core.Config{Algo: comp.ZStd, Op: comp.Decompress}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -77,20 +91,15 @@ func TestGroupMatchesReplayPolicy(t *testing.T) {
 		MaxQueue: 4, QuarantineK: 3, QuarantineWindowCycles: 2e6,
 		QuarantinePenaltyCycles: 1e5, ResetCycles: 7000,
 	}
-	jobs := make([]core.Job, len(calls))
-	svc := make([]float64, len(calls))
-	post := make([]float64, len(calls))
-	flt := make([]int, len(calls))
-	for i, c := range calls {
-		jobs[i] = core.Job{Arrival: c.Arrival}
-		svc[i], post[i], flt[i] = c.Service, c.Post, c.Faults
+	ds := dev.NewReplayState(len(calls), pol, true, true)
+	for _, c := range calls {
+		if err := ds.StepCall(c.Arrival, c.Service, c.Post, c.Faults, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wantRes, wantStats, err := dev.ReplayPolicy(jobs, svc, post, flt, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantRes, wantStats := ds.Finish()
 	g := &Group{Replicas: 1, Pipelines: 2, ResetCycles: dev.PipelineResetCycles(), Resil: pol}
-	gotRes, gotStats, tot, err := g.Replay(calls)
+	gotRes, gotStats, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +131,8 @@ func TestGroupReplayDeterministic(t *testing.T) {
 	for i := range calls {
 		calls[i].Software = calls[i].Service * 40
 	}
-	res1, st1, tot1, err1 := g.Replay(calls)
-	res2, st2, tot2, err2 := g.Replay(calls)
+	res1, st1, tot1, err1 := replayGroup(g, calls)
+	res2, st2, tot2, err2 := replayGroup(g, calls)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v, %v", err1, err2)
 	}
@@ -155,7 +164,7 @@ func TestGroupFailoverSurvivesLifecycle(t *testing.T) {
 		Resil:  resil.Policy{SoftwareFallback: true},
 		Policy: refPolicy(), Lifecycle: life,
 	}
-	results, devStats, tot, err := g.Replay(calls)
+	results, devStats, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatalf("failover group aborted: %v", err)
 	}
@@ -187,7 +196,7 @@ func TestGroupFailoverSurvivesLifecycle(t *testing.T) {
 	// Abort baseline: same weather, zero policies — the group must abort,
 	// with a replica-down DeviceError carrying the lowest failing index.
 	ab := &Group{Replicas: 3, Pipelines: 2, ResetCycles: 9000, Unit: "snappy-c", Lifecycle: life}
-	_, _, _, err = ab.Replay(calls)
+	_, _, _, err = replayGroup(ab, calls)
 	if err == nil {
 		t.Fatal("zero-policy group survived the lifecycle storm")
 	}
@@ -204,7 +213,7 @@ func TestGroupFailoverSurvivesLifecycle(t *testing.T) {
 	// must succeed.
 	if ce.Index > 0 {
 		prefix := calls[:ce.Index]
-		if _, _, _, perr := ab.Replay(prefix); perr != nil {
+		if _, _, _, perr := replayGroup(ab, prefix); perr != nil {
 			t.Fatalf("call below reported abort index %d also fails: %v", ce.Index, perr)
 		}
 	}
@@ -227,7 +236,7 @@ func TestGroupServedMonotoneInReplicas(t *testing.T) {
 		for i := range cs {
 			cs[i].Software = cs[i].Service * 40
 		}
-		_, _, tot, err := g.Replay(cs)
+		_, _, tot, err := replayGroup(g, cs)
 		if err != nil {
 			t.Fatalf("replicas=%d: %v", replicas, err)
 		}
@@ -260,7 +269,7 @@ func TestGroupHedging(t *testing.T) {
 	pol.Hedge = true
 	pol.HedgeDelayCycles = 120000
 	g := &Group{Replicas: 3, Pipelines: 2, ResetCycles: 9000, Policy: pol, Lifecycle: life}
-	_, hedged, tot, err := g.Replay(calls)
+	_, hedged, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +283,7 @@ func TestGroupHedging(t *testing.T) {
 		t.Fatalf("wins %d exceed hedges %d", tot.HedgeWins, tot.HedgedCalls)
 	}
 	gNo := &Group{Replicas: 3, Pipelines: 2, ResetCycles: 9000, Policy: refPolicy(), Lifecycle: life}
-	_, plain, _, err := gNo.Replay(calls)
+	_, plain, _, err := replayGroup(gNo, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +305,7 @@ func TestGroupP99DerivedHedgeDelay(t *testing.T) {
 	pol := refPolicy()
 	pol.Hedge = true
 	g := &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err := g.Replay(calls)
+	_, _, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +337,7 @@ func TestGroupAllDownSoftwareFallback(t *testing.T) {
 		Resil:  resil.Policy{SoftwareFallback: true},
 		Policy: refPolicy(), Lifecycle: life,
 	}
-	results, _, tot, err := g.Replay(calls)
+	results, _, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +357,7 @@ func TestGroupAllDownSoftwareFallback(t *testing.T) {
 	for i := range calls {
 		calls[i].Software = 0
 	}
-	if _, _, _, err := g.Replay(calls); err == nil {
+	if _, _, _, err := replayGroup(g, calls); err == nil {
 		t.Fatal("all-down group without fallback did not abort")
 	}
 }
@@ -362,12 +371,12 @@ func TestGroupBrownoutUsesDegradedService(t *testing.T) {
 	}
 	calls := synthCalls(200, 43)
 	g := &Group{Replicas: 1, Pipelines: 2, ResetCycles: 9000, Policy: refPolicy(), Lifecycle: life}
-	browned, _, _, err := g.Replay(calls)
+	browned, _, _, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gH := &Group{Replicas: 1, Pipelines: 2, ResetCycles: 9000, Policy: refPolicy()}
-	healthy, _, _, err := gH.Replay(calls)
+	healthy, _, _, err := replayGroup(gH, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +408,7 @@ func TestGroupRestartChargedOnRejoin(t *testing.T) {
 		Resil:  resil.Policy{SoftwareFallback: true},
 		Policy: refPolicy(), Lifecycle: life,
 	}
-	_, _, tot, err := g.Replay(calls)
+	_, _, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,20 +422,20 @@ func TestGroupRestartChargedOnRejoin(t *testing.T) {
 
 func TestGroupRejectsBadInputs(t *testing.T) {
 	g := &Group{Replicas: 2, Pipelines: 1}
-	if _, _, _, err := g.Replay([]Call{{Arrival: 10}, {Arrival: 5}}); err == nil {
+	if _, _, _, err := replayGroup(g, []Call{{Arrival: 10}, {Arrival: 5}}); err == nil {
 		t.Error("unsorted arrivals accepted")
 	}
-	if _, _, _, err := g.Replay([]Call{{Service: math.Inf(1)}}); err == nil {
+	if _, _, _, err := replayGroup(g, []Call{{Service: math.Inf(1)}}); err == nil {
 		t.Error("infinite service accepted")
 	}
-	if _, _, _, err := g.Replay([]Call{{Service: -1}}); err == nil {
+	if _, _, _, err := replayGroup(g, []Call{{Service: -1}}); err == nil {
 		t.Error("negative service accepted")
 	}
-	if _, _, _, err := g.Replay([]Call{{HangBudget: math.NaN()}}); err == nil {
+	if _, _, _, err := replayGroup(g, []Call{{HangBudget: math.NaN()}}); err == nil {
 		t.Error("NaN hang budget accepted")
 	}
-	res, st, tot, err := g.Replay(nil)
-	if err != nil || res != nil || st != (core.DeviceStats{}) || len(tot.Dispatches) != 2 {
+	res, st, tot, err := replayGroup(g, nil)
+	if err != nil || len(res) != 0 || st != (core.DeviceStats{}) || len(tot.Dispatches) != 2 {
 		t.Error("empty replay not a clean no-op")
 	}
 }
@@ -459,7 +468,7 @@ func TestHedgeColdStart(t *testing.T) {
 	pol := refPolicy()
 	pol.Hedge = true
 	g := &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err := g.Replay(calls)
+	_, _, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +479,7 @@ func TestHedgeColdStart(t *testing.T) {
 	// A cold fallback delay makes the same workload hedge its giant calls.
 	pol.HedgeColdDelayCycles = 120000
 	g = &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err = g.Replay(calls)
+	_, _, tot, err = replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +492,7 @@ func TestHedgeColdStart(t *testing.T) {
 	pol.HedgeColdDelayCycles = 0
 	pol.HedgeMinSamples = 8
 	g = &Group{Replicas: 2, Pipelines: 2, ResetCycles: 9000, Policy: pol}
-	_, _, tot, err = g.Replay(calls)
+	_, _, tot, err = replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +517,7 @@ func TestGroupAutoscale(t *testing.T) {
 	}
 	auto := traffic.Autoscale{MinReplicas: 1, UpQueueDepth: 8, DownQueueDepth: 1, CooldownCycles: 50000}
 	g := &Group{Replicas: 4, Pipelines: 2, ResetCycles: 9000, Autoscale: auto}
-	_, stats, tot, err := g.Replay(calls)
+	_, stats, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,12 +535,12 @@ func TestGroupAutoscale(t *testing.T) {
 	// replicas absorbed the burst) while a fully-active fixed group of the
 	// same size is at least as fast (autoscaling is reactive, not free).
 	gMin := &Group{Replicas: 1, Pipelines: 2, ResetCycles: 9000}
-	_, minStats, _, err := gMin.Replay(calls)
+	_, minStats, _, err := replayGroup(gMin, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gFix := &Group{Replicas: 4, Pipelines: 2, ResetCycles: 9000}
-	_, fixStats, _, err := gFix.Replay(calls)
+	_, fixStats, _, err := replayGroup(gFix, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +554,7 @@ func TestGroupAutoscale(t *testing.T) {
 	// A prohibitive cooldown pins the group at one scale-up.
 	auto.CooldownCycles = 1e12
 	gCool := &Group{Replicas: 4, Pipelines: 2, ResetCycles: 9000, Autoscale: auto}
-	_, _, coolTot, err := gCool.Replay(calls)
+	_, _, coolTot, err := replayGroup(gCool, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +576,7 @@ func TestGroupPriorityShed(t *testing.T) {
 		Replicas: 1, Pipelines: 2, ResetCycles: 9000,
 		Resil: resil.Policy{MaxQueue: 8, PriorityClasses: 3},
 	}
-	results, _, _, err := g.Replay(calls)
+	results, _, _, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +599,7 @@ func TestGroupPriorityShed(t *testing.T) {
 	// Without priority classes every class sees the same bound, so the shed
 	// distribution flattens to the arrival pattern.
 	g.Resil.PriorityClasses = 0
-	results, _, _, err = g.Replay(calls)
+	results, _, _, err = replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,7 +665,7 @@ func TestGroupBurnAutoscale(t *testing.T) {
 		CooldownCycles: 50000, BurnWindowCycles: 4e6,
 	}
 	g := &Group{Replicas: 4, Pipelines: 2, ResetCycles: 9000, Autoscale: auto}
-	_, devStats, tot, err := g.Replay(calls)
+	_, devStats, tot, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +679,7 @@ func TestGroupBurnAutoscale(t *testing.T) {
 		t.Fatalf("jobs %d, want %d", devStats.Jobs, len(calls))
 	}
 	// Replay is serial: a second pass must be byte-identical.
-	_, devStats2, tot2, err := g.Replay(calls)
+	_, devStats2, tot2, err := replayGroup(g, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +713,7 @@ func TestGroupDeadlineShed(t *testing.T) {
 
 	classOnly := &Group{Replicas: 1, Pipelines: 2, Resil: resil.Policy{MaxQueue: 16}}
 	calls := mk()
-	baseResults, baseStats, _, err := classOnly.Replay(calls)
+	baseResults, baseStats, _, err := replayGroup(classOnly, calls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +722,7 @@ func TestGroupDeadlineShed(t *testing.T) {
 	}
 
 	dl := &Group{Replicas: 1, Pipelines: 2, Resil: resil.Policy{MaxQueue: 16, DeadlineFactor: 2}}
-	dlResults, dlStats, _, err := dl.Replay(mk())
+	dlResults, dlStats, _, err := replayGroup(dl, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +752,7 @@ func TestGroupDeadlineShed(t *testing.T) {
 
 	// Factor zero ignores targets entirely — bit-identical to the baseline.
 	off := &Group{Replicas: 1, Pipelines: 2, Resil: resil.Policy{MaxQueue: 16}}
-	offResults, offStats, _, err := off.Replay(mk())
+	offResults, offStats, _, err := replayGroup(off, mk())
 	if err != nil {
 		t.Fatal(err)
 	}

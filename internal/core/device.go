@@ -108,14 +108,6 @@ type Job struct {
 	// Payload is the call input (plaintext for compression devices,
 	// compressed bytes for decompression devices).
 	Payload []byte
-	// Priority selects the job's admission bound under a priority-classed
-	// policy (resil.Policy.QueueBound; 0 = highest priority, the full
-	// MaxQueue — the historical behavior).
-	Priority int
-	// Target is the job's latency deadline in cycles for deadline-aware
-	// admission (resil.Policy.DeadlineFactor); 0 = no deadline, never
-	// deadline-shed.
-	Target float64
 }
 
 // JobResult reports one completed job.
@@ -158,8 +150,8 @@ type DeviceStats struct {
 // the modeled call result with no queueing applied. It is the unit of work a
 // sharded replay parallelizes: service cycles depend only on the payload and
 // the device configuration, so per-worker Device clones can Exec calls in any
-// order and Replay merges them deterministically. Not safe for concurrent use
-// on one Device.
+// order and a ReplayState queues them deterministically. Not safe for
+// concurrent use on one Device.
 func (d *Device) Exec(payload []byte) (*Result, error) {
 	if d.comp != nil {
 		return d.comp.Compress(payload)
@@ -190,8 +182,9 @@ func (d *Device) SetResultReuse(on bool) {
 }
 
 // Run services jobs FCFS across the device's pipelines (jobs must be sorted
-// by arrival time) and reports per-job latency plus batch statistics. It is
-// Exec + Replay in one serial pass.
+// by arrival time) and reports per-job latency plus batch statistics: every
+// payload is Exec'd first, then one ReplayState pass under the zero policy
+// queues the calls.
 func (d *Device) Run(jobs []Job) ([]JobResult, DeviceStats, error) {
 	if len(jobs) == 0 {
 		return nil, DeviceStats{}, nil
@@ -206,86 +199,44 @@ func (d *Device) Run(jobs []Job) ([]JobResult, DeviceStats, error) {
 		execResults[i] = res
 		service[i] = res.Cycles
 	}
-	results, devStats, err := d.Replay(jobs, service)
-	if err != nil {
-		return nil, DeviceStats{}, err
+	st := d.NewReplayState(len(jobs), resil.Policy{}, false, false)
+	for i, job := range jobs {
+		if err := st.StepCall(job.Arrival, service[i], 0, 0, 0, 0); err != nil {
+			return nil, DeviceStats{}, err
+		}
 	}
+	results, devStats := st.Finish()
 	for i := range results {
 		results[i].Result = execResults[i]
 	}
 	return results, devStats, nil
 }
 
-// Replay schedules jobs FCFS across the device's pipelines using precomputed
-// per-job service cycles — the reuse point for sharded replays that Exec
-// payloads on per-worker clones and then need one deterministic queueing
-// pass. Jobs must be sorted by arrival time; service[i] holds jobs[i]'s
-// modeled cycles (finite and non-negative — NaN, infinite or negative values
-// would silently poison Utilization, Makespan and the quickselect percentiles,
-// so they are rejected) and payloads are not touched (they may be nil).
-// JobResult.Result is nil in this mode.
-func (d *Device) Replay(jobs []Job, service []float64) ([]JobResult, DeviceStats, error) {
-	return d.ReplayPolicy(jobs, service, nil, nil, resil.Policy{})
-}
-
-// ReplayPolicy is Replay under a recovery policy: the same deterministic
-// FCFS queueing pass, extended with the two device-side recovery mechanisms
-// that depend on queue state rather than on a single call.
+// ReplayState is the device's deterministic FCFS queueing pass over
+// precomputed service cycles, stepped one job at a time so a discrete-event
+// engine can drive a device arrival by arrival. Each job goes to the
+// earliest-free pipeline; under a recovery policy the pass adds the two
+// device-side recovery mechanisms that depend on queue state rather than on a
+// single call:
 //
-//   - Admission control: with pol.MaxQueue > 0, an arrival that finds
-//     MaxQueue jobs already waiting is shed — JobResult.Err = resil.ErrShed,
-//     zero service cycles, Pipeline -1 — instead of growing the queue
-//     without bound.
-//   - Pipeline quarantine: faults[i] (may be nil) counts the device-fault
-//     events job i's dispatches inflicted on the pipeline that served it.
-//     A pipeline accumulating pol.QuarantineK fault events within
+//   - Admission control: with pol.MaxQueue > 0, an arrival that finds its
+//     queue bound (pol.QueueBound of its priority) of jobs already waiting is
+//     shed — JobResult.Err = resil.ErrShed, zero service cycles, Pipeline -1
+//     — instead of growing the queue without bound. With pol.DeadlineFactor
+//     > 0, a deadlined arrival that cannot finish in time is shed first with
+//     resil.ErrDeadlineShed.
+//   - Pipeline quarantine: a job's faults count the device-fault events its
+//     dispatches inflicted on the pipeline that served it. A pipeline
+//     accumulating pol.QuarantineK fault events within
 //     pol.QuarantineWindowCycles is drained (its in-flight job completes),
 //     charged a reset (pol.ResetCycles, or the device's placement-aware
 //     PipelineResetCycles when zero), and removed from dispatch for
 //     pol.QuarantinePenaltyCycles; capacity degrades instead of failing.
 //
-// post[i] (may be nil) is latency the caller observes after the job leaves
+// A job's post cycles are latency the caller observes after the job leaves
 // the device — the software-fallback service time of a degraded call — and
-// is charged to that job's Latency and the batch statistics, but not to
-// pipeline occupancy. With the zero policy and nil post/faults the pass is
-// bit-identical to Replay.
-func (d *Device) ReplayPolicy(jobs []Job, service, post []float64, faults []int, pol resil.Policy) ([]JobResult, DeviceStats, error) {
-	if len(jobs) != len(service) {
-		return nil, DeviceStats{}, fmt.Errorf("core: %d jobs with %d service times", len(jobs), len(service))
-	}
-	if post != nil && len(post) != len(jobs) {
-		return nil, DeviceStats{}, fmt.Errorf("core: %d jobs with %d post times", len(jobs), len(post))
-	}
-	if faults != nil && len(faults) != len(jobs) {
-		return nil, DeviceStats{}, fmt.Errorf("core: %d jobs with %d fault counts", len(jobs), len(faults))
-	}
-	if len(jobs) == 0 {
-		return nil, DeviceStats{}, nil
-	}
-	st := d.NewReplayState(len(jobs), pol, post != nil, faults != nil)
-	for i, job := range jobs {
-		var x float64
-		if post != nil {
-			x = post[i]
-		}
-		var f int
-		if faults != nil {
-			f = faults[i]
-		}
-		if err := st.StepCall(job.Arrival, service[i], x, f, job.Priority, job.Target); err != nil {
-			return nil, DeviceStats{}, err
-		}
-	}
-	results, devStats := st.Finish()
-	return results, devStats, nil
-}
-
-// ReplayState is ReplayPolicy unrolled into one Step per job, so a
-// discrete-event engine can drive a device arrival by arrival instead of
-// walking a fully materialized job slice. ReplayPolicy itself is now a thin
-// loop over Step + Finish; the per-job arithmetic is the same operations in
-// the same order, so driving the state from an event queue produces results
-// bit-identical to the serial pass.
+// are charged to that job's Latency and the batch statistics, but not to
+// pipeline occupancy. With the zero policy every job is plain FCFS.
 type ReplayState struct {
 	dev        *Device
 	pol        resil.Policy
@@ -314,9 +265,9 @@ type ReplayState struct {
 }
 
 // NewReplayState prepares an incremental FCFS pass over n expected jobs under
-// pol. withPost and withFaults mirror ReplayPolicy's nil-slice distinctions:
-// they decide whether Step's post and faults arguments participate at all
-// (validation included), so a wrapped slice-driven pass stays bit-identical.
+// pol. withPost and withFaults decide whether StepCall's post and faults
+// arguments participate at all (validation included): a pass built without
+// them ignores whatever the caller passes.
 func (d *Device) NewReplayState(n int, pol resil.Policy, withPost, withFaults bool) *ReplayState {
 	st := &ReplayState{
 		dev:        d,
@@ -332,12 +283,9 @@ func (d *Device) NewReplayState(n int, pol resil.Policy, withPost, withFaults bo
 	return st
 }
 
-// Jobs returns how many jobs have been stepped so far.
-func (st *ReplayState) Jobs() int { return st.n }
-
 // Last returns the result of the most recently stepped job (nil before the
-// first Step). The pointer is into the state's result slice; it is valid
-// until the next Step.
+// first StepCall). The pointer is into the state's result slice; it is valid
+// until the next StepCall.
 func (st *ReplayState) Last() *JobResult {
 	if len(st.results) == 0 {
 		return nil
@@ -345,30 +293,18 @@ func (st *ReplayState) Last() *JobResult {
 	return &st.results[len(st.results)-1]
 }
 
-// Step admits, queues and serves one job. Arrivals must be non-decreasing
-// across calls; service and post must be finite and non-negative. post and
-// faults are ignored unless the state was built with the corresponding
-// with* flag.
-func (st *ReplayState) Step(arrival, service, post float64, faults int) error {
-	return st.StepPri(arrival, service, post, faults, 0)
-}
-
-// StepPri is Step for a prioritized arrival: priority (0 = highest) selects
-// the job's admission bound via the policy's QueueBound, so under a
-// priority-classed policy a nearly full queue refuses low-priority arrivals
-// while still admitting high-priority ones. Priority 0 is bit-identical to
-// Step.
-func (st *ReplayState) StepPri(arrival, service, post float64, faults, priority int) error {
-	return st.StepCall(arrival, service, post, faults, priority, 0)
-}
-
-// StepCall is StepPri for a deadlined arrival: target is the job's latency
-// deadline in cycles. Under a policy with DeadlineFactor > 0, a job whose
-// earliest possible completion — the earliest pipeline free time plus its
-// service — would land past arrival + DeadlineFactor·target is shed with
+// StepCall admits, queues and serves one job. Arrivals must be
+// non-decreasing across calls; service and post must be finite and
+// non-negative. post and faults are ignored unless the state was built with
+// the corresponding with* flag. priority (0 = highest) selects the job's
+// admission bound via the policy's QueueBound, so under a priority-classed
+// policy a nearly full queue refuses low-priority arrivals while still
+// admitting high-priority ones. target is the job's latency deadline in
+// cycles: under a policy with DeadlineFactor > 0, a job whose earliest
+// possible completion — the earliest pipeline free time plus its service —
+// would land past arrival + DeadlineFactor·target is shed with
 // resil.ErrDeadlineShed before the queue-bound check, so unmeetable work
-// never occupies a pipeline. Target 0 (or DeadlineFactor 0) is bit-identical
-// to StepPri.
+// never occupies a pipeline. Target 0 means no deadline.
 func (st *ReplayState) StepCall(arrival, service, post float64, faults, priority int, target float64) error {
 	i := st.n
 	if i > 0 && arrival < st.prev {

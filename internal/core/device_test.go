@@ -7,6 +7,7 @@ import (
 
 	"cdpu/internal/comp"
 	"cdpu/internal/corpus"
+	"cdpu/internal/resil"
 	"cdpu/internal/snappy"
 )
 
@@ -162,12 +163,12 @@ func TestReplayRejectsInvalidService(t *testing.T) {
 		{100, math.Inf(1), 100},
 		{math.Inf(-1), 100, 100},
 	} {
-		if _, _, err := d.Replay(jobs, bad); err == nil {
-			t.Errorf("Replay accepted service %v", bad)
+		if _, _, err := replayJobs(d, jobs, bad, nil, nil, resil.Policy{}); err == nil {
+			t.Errorf("replay accepted service %v", bad)
 		}
 	}
 	// Zero service is legitimate (a degenerate but finite call).
-	results, stats, err := d.Replay(jobs, []float64{100, 0, 100})
+	results, stats, err := replayJobs(d, jobs, []float64{100, 0, 100}, nil, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestReplayReportsStartAndPipeline(t *testing.T) {
 	// Two simultaneous arrivals fill both pipelines; the third waits for the
 	// earliest-free one.
 	jobs := []Job{{Arrival: 0}, {Arrival: 0}, {Arrival: 0}}
-	results, _, err := d.Replay(jobs, []float64{100, 50, 10})
+	results, _, err := replayJobs(d, jobs, []float64{100, 50, 10}, nil, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

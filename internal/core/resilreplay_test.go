@@ -2,52 +2,32 @@ package core
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"cdpu/internal/comp"
 	"cdpu/internal/resil"
 )
 
-func replayFixture(t *testing.T, pipes, n int, gap float64) (*Device, []Job, []float64) {
-	t.Helper()
-	d, err := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, pipes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	jobs := make([]Job, n)
-	service := make([]float64, n)
-	at := 0.0
-	for i := range jobs {
-		jobs[i] = Job{Arrival: at}
-		service[i] = 500 + 4000*rng.Float64()
-		at += gap * rng.Float64()
-	}
-	return d, jobs, service
-}
-
-// TestReplayPolicyZeroMatchesReplay pins that the zero policy with nil
-// post/faults is arithmetically identical to Replay — the guarantee the
-// sharded replay relies on to keep existing Reports byte-stable.
-func TestReplayPolicyZeroMatchesReplay(t *testing.T) {
-	d, jobs, service := replayFixture(t, 3, 200, 1500)
-	want, wantStats, err := d.Replay(jobs, service)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotStats, err := d.ReplayPolicy(jobs, service, nil, nil, resil.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("stats diverged:\n got %+v\nwant %+v", gotStats, wantStats)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("job %d diverged:\n got %+v\nwant %+v", i, got[i], want[i])
+// replayJobs steps one ReplayState over jobs in order under pol. post and
+// faults (each may be nil) feed the stepper only when non-nil, matching the
+// state's withPost / withFaults flags.
+func replayJobs(d *Device, jobs []Job, service, post []float64, faults []int, pol resil.Policy) ([]JobResult, DeviceStats, error) {
+	st := d.NewReplayState(len(jobs), pol, post != nil, faults != nil)
+	for i, job := range jobs {
+		var x float64
+		if post != nil {
+			x = post[i]
+		}
+		var f int
+		if faults != nil {
+			f = faults[i]
+		}
+		if err := st.StepCall(job.Arrival, service[i], x, f, 0, 0); err != nil {
+			return nil, DeviceStats{}, err
 		}
 	}
+	results, stats := st.Finish()
+	return results, stats, nil
 }
 
 // TestReplayPolicySheds pins admission control: a burst beyond MaxQueue
@@ -61,7 +41,7 @@ func TestReplayPolicySheds(t *testing.T) {
 	jobs := make([]Job, 5)
 	service := []float64{100, 100, 100, 100, 100}
 	pol := resil.Policy{MaxQueue: 1}
-	results, stats, err := d.ReplayPolicy(jobs, service, nil, nil, pol)
+	results, stats, err := replayJobs(d, jobs, service, nil, nil, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +86,7 @@ func TestReplayPolicyAllShedIsFinite(t *testing.T) {
 	// cannot happen for the very first arrival — so assert the near-empty
 	// case stays finite instead.
 	jobs := make([]Job, 3)
-	results, stats, err := d.ReplayPolicy(jobs, []float64{1e6, 1, 1}, nil, nil, resil.Policy{MaxQueue: 1})
+	results, stats, err := replayJobs(d, jobs, []float64{1e6, 1, 1}, nil, nil, resil.Policy{MaxQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +124,7 @@ func TestReplayPolicyQuarantine(t *testing.T) {
 		QuarantinePenaltyCycles: 1000,
 		ResetCycles:             50,
 	}
-	results, stats, err := d.ReplayPolicy(jobs, service, nil, faults, pol)
+	results, stats, err := replayJobs(d, jobs, service, nil, faults, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +148,7 @@ func TestReplayPolicyQuarantine(t *testing.T) {
 	}
 
 	// Without quarantine the same faults leave both pipelines in play.
-	results, stats, err = d.ReplayPolicy(jobs, service, nil, faults, resil.Policy{})
+	results, stats, err = replayJobs(d, jobs, service, nil, faults, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +172,7 @@ func TestReplayPolicyQuarantineDefaultReset(t *testing.T) {
 	service := []float64{100, 100}
 	faults := []int{1, 0}
 	pol := resil.Policy{QuarantineK: 1, QuarantineWindowCycles: 1e6}
-	results, _, err := d.ReplayPolicy(jobs, service, nil, faults, pol)
+	results, _, err := replayJobs(d, jobs, service, nil, faults, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +196,7 @@ func TestReplayPolicyWindowExpiry(t *testing.T) {
 	service := []float64{100, 100, 100}
 	faults := []int{1, 1, 0}
 	pol := resil.Policy{QuarantineK: 2, QuarantineWindowCycles: 500, QuarantinePenaltyCycles: 1e6}
-	_, stats, err := d.ReplayPolicy(jobs, service, nil, faults, pol)
+	_, stats, err := replayJobs(d, jobs, service, nil, faults, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +206,7 @@ func TestReplayPolicyWindowExpiry(t *testing.T) {
 
 	// Same schedule with a window that spans both events does quarantine.
 	pol.QuarantineWindowCycles = 1e6
-	_, stats, err = d.ReplayPolicy(jobs, service, nil, faults, pol)
+	_, stats, err = replayJobs(d, jobs, service, nil, faults, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +225,7 @@ func TestReplayPolicyPostLatency(t *testing.T) {
 	jobs := make([]Job, 2)
 	service := []float64{100, 100}
 	post := []float64{50, 0}
-	results, _, err := d.ReplayPolicy(jobs, service, post, nil, resil.Policy{})
+	results, _, err := replayJobs(d, jobs, service, post, nil, resil.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,20 +240,15 @@ func TestReplayPolicyPostLatency(t *testing.T) {
 	}
 }
 
+// TestReplayPolicyValidation pins that a state built with post cycles
+// rejects a negative post value.
 func TestReplayPolicyValidation(t *testing.T) {
 	d, err := NewDevice(Config{Algo: comp.Snappy, Op: comp.Decompress}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]Job, 2)
-	service := []float64{1, 1}
-	if _, _, err := d.ReplayPolicy(jobs, service, []float64{1}, nil, resil.Policy{}); err == nil {
-		t.Error("short post slice accepted")
-	}
-	if _, _, err := d.ReplayPolicy(jobs, service, nil, []int{0}, resil.Policy{}); err == nil {
-		t.Error("short faults slice accepted")
-	}
-	if _, _, err := d.ReplayPolicy(jobs, service, []float64{-1, 0}, nil, resil.Policy{}); err == nil {
+	st := d.NewReplayState(1, resil.Policy{}, true, false)
+	if err := st.StepCall(0, 1, -1, 0, 0, 0); err == nil {
 		t.Error("negative post accepted")
 	}
 }

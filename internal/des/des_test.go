@@ -170,8 +170,8 @@ func TestEngineContentionStretches(t *testing.T) {
 	}
 }
 
-// TestEngineErrorDoesNotHaltOthers mirrors the legacy reduction's error
-// contract: a failing partition reports its error in its own slot while every
+// TestEngineErrorDoesNotHaltOthers pins the engine's error contract: a
+// failing partition reports its error in its own slot while every
 // other partition still runs to completion.
 func TestEngineErrorDoesNotHaltOthers(t *testing.T) {
 	for _, workers := range []int{1, 4} {

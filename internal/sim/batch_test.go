@@ -178,7 +178,8 @@ func (f *replayFixture) perCall(b *testing.B) {
 // BenchmarkReplayShard breaks the replay into its three stages so a
 // regression localizes immediately: payload synthesis alone, the device
 // execution pass alone (compressed-input synthesis + planned/parsed exec on
-// pre-generated payloads), and the FCFS queueing reduction alone.
+// pre-generated payloads), and the phase-C queueing reduction alone (the
+// discrete-event engine over one partition per device).
 func BenchmarkReplayShard(b *testing.B) {
 	const calls = 512
 	b.Run("synthesis-only", func(b *testing.B) {
@@ -224,15 +225,14 @@ func BenchmarkReplayShard(b *testing.B) {
 	})
 	b.Run("reduction-only", func(b *testing.B) {
 		f := newReplayFixture(b, calls)
-		perDev := make([][]int, numDevices)
+		perPart := make([][]int, numDevices)
 		for i, s := range f.specs {
-			perDev[s.dev] = append(perDev[s.dev], i)
+			perPart[s.dev] = append(perPart[s.dev], i)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for d := range perDev {
-				red := reduceDevice(d, perDev[d], f.specs, f.outs, &f.cfg, false)
+			for _, red := range runEngineReduction(perPart, 1, f.specs, f.outs, &f.cfg, false, false) {
 				if red.err != nil {
 					b.Fatal(red.err)
 				}

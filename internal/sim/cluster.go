@@ -66,62 +66,6 @@ func softwareCycles(s *callSpec) float64 {
 	return xeon.Seconds(xeon.Cycles(s.rec.Algo, s.rec.Op, s.rec.Level, s.rec.UncompressedBytes)) * 2.0e9
 }
 
-// reduceCluster is the cluster-mode replacement for reduceDevice: one device
-// instance of a deviceOrder slot becomes a cluster.Group of Replicas devices
-// behind the failover dispatcher, fed the same index-addressed phase-B
-// outcomes. base anchors the group's replicas in the lifecycle schedule's
-// replica space (inst*Replicas; 0 when Devices is 1). The probe device
-// supplies the placement-aware reset cost and the per-replica silicon area.
-func reduceCluster(d, base int, idxs []int, specs []callSpec, outs []execOut, cfg *Config) devReduction {
-	slot := deviceOrder[d]
-	devCfg := core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}
-	dev, err := core.NewDevice(devCfg, cfg.Pipelines)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	g := &cluster.Group{
-		Replicas:    max(1, cfg.Replicas),
-		Pipelines:   cfg.Pipelines,
-		ResetCycles: dev.PipelineResetCycles(),
-		Unit:        devCfg.Name(),
-		Resil:       cfg.Resilience,
-		Policy:      cfg.Failover,
-		Lifecycle:   cfg.Lifecycle,
-		ReplicaBase: base,
-		Autoscale:   cfg.Autoscale,
-	}
-	calls := make([]cluster.Call, len(idxs))
-	slo := cfg.sloCycles()
-	for ji, ci := range idxs {
-		s := &specs[ci]
-		calls[ji] = cluster.Call{
-			Arrival:    s.arrival,
-			Index:      ci,
-			Service:    outs[ci].service,
-			Post:       outs[ci].post,
-			Faults:     outs[ci].faults,
-			Degraded:   outs[ci].degraded,
-			Brown:      outs[ci].brown,
-			HangBudget: outs[ci].budget,
-			Bytes:      s.rec.UncompressedBytes,
-			Priority:   s.class,
-		}
-		if slo != nil {
-			calls[ji].Target = slo[s.class]
-		}
-		if cfg.Resilience.SoftwareFallback {
-			calls[ji].Software = softwareCycles(s)
-		}
-	}
-	results, devStats, tot, err := g.Replay(calls)
-	if err != nil {
-		return devReduction{dev: dev, err: err}
-	}
-	red := devReduction{dev: dev, results: results, idxs: idxs, stats: devStats, tot: tot}
-	red.summarize(specs, cfg.sloCycles())
-	return red
-}
-
 // mergeClusterTotals rolls one group's failover totals into the Report and
 // publishes the per-replica dispatch gauges the totals reconcile against.
 // Called serially in partition order (d is the partition index, which equals

@@ -189,7 +189,7 @@ func TestClusterReportWorkerInvariant(t *testing.T) {
 // already pins those bytes). Second: forcing the cluster dispatcher with an
 // event-free lifecycle (non-nil, rate zero) at one replica and the zero
 // policy must reproduce the single-device engine bit for bit — the
-// dispatcher's R=1 degenerate case is the historical ReplayPolicy.
+// dispatcher's R=1 degenerate case is the plain core.ReplayState queue.
 func TestClusterBitCompatSingleReplica(t *testing.T) {
 	want, err := Run(chaosConfig(4))
 	if err != nil {

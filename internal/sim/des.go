@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"cdpu/internal/cluster"
 	"cdpu/internal/core"
 	"cdpu/internal/des"
@@ -17,10 +15,10 @@ import (
 // open-window expiries at their deadline, and ServiceDone / LifecycleMark
 // events attribute shared-resource demand to the epoch in which the work
 // actually happened. Arrivals replay in (time, insertion) order and every
-// stretch multiplication is exactly 1.0 when Contention is nil, so the engine
-// path is bit-identical to the legacy serial per-partition loops — the
-// property the differential tests in des_test.go pin against the retained
-// legacy oracle.
+// stretch multiplication is exactly 1.0 when Contention is nil, so a
+// partition's results are exactly those of stepping its calls serially in
+// index order — the property the golden Reports in des_test.go pin at every
+// worker count.
 
 // simPart is one phase-C partition.
 type simPart struct {
@@ -28,7 +26,6 @@ type simPart struct {
 	specs []callSpec
 	outs  []execOut
 	idxs  []int
-	chaos bool
 	slo   *[traffic.NumClasses]float64 // per-class targets; nil in closed loop
 
 	q   des.Queue
@@ -63,7 +60,6 @@ func newSimPart(slot, base int, idxs []int, specs []callSpec, outs []execOut, cf
 		specs:   specs,
 		outs:    outs,
 		idxs:    idxs,
-		chaos:   chaos,
 		slo:     cfg.sloCycles(),
 		dev:     dev,
 		shared:  cfg.Contention != nil,
@@ -121,9 +117,9 @@ func (p *simPart) Advance(limit float64) error {
 			p.demand.BusyCycles += ev.X
 		case des.BreakerProbe:
 			p.hasProbe = false
-			// A probe after the last arrival must not fire: the legacy books
-			// close still-open windows at Finish time, and transitioning them
-			// here would book the full window instead.
+			// A probe after the last arrival must not fire: Finish closes
+			// still-open windows at the group's last completion, and
+			// transitioning them here would book the full window instead.
 			if p.gst != nil && p.pos < len(p.idxs) {
 				p.gst.ObserveBreakers(ev.Time)
 				p.scheduleProbe()
@@ -135,10 +131,9 @@ func (p *simPart) Advance(limit float64) error {
 	}
 }
 
-// stepArrival drives one call through the partition's stepper, mirroring the
-// legacy reductions' per-call bodies exactly (every value it feeds the stepper
-// is the legacy value times the current stretch, which is exactly 1.0 without
-// Contention).
+// stepArrival drives one call through the partition's stepper. Every service
+// value it feeds the stepper is the phase-B value times the current stretch,
+// which is exactly 1.0 without Contention.
 func (p *simPart) stepArrival(ci int) error {
 	s := &p.specs[ci]
 	o := &p.outs[ci]
@@ -180,13 +175,9 @@ func (p *simPart) stepArrival(ci int) error {
 		p.scheduleProbe()
 		return nil
 	}
-	var post float64
-	var flt int
-	if p.chaos {
-		post = o.post
-		flt = o.faults
-	}
-	if err := p.dst.StepCall(s.arrival, o.service*p.stretch, post, flt, s.class, target); err != nil {
+	// The stepper reads post and faults only when the state was built for a
+	// storm or recovery policy (newSimPart's chaos flag).
+	if err := p.dst.StepCall(s.arrival, o.service*p.stretch, o.post, o.faults, s.class, target); err != nil {
 		return err
 	}
 	if p.shared {
@@ -223,8 +214,7 @@ func (p *simPart) EpochDemand() des.Demand {
 func (p *simPart) SetStretch(s des.Stretch) { p.stretch = s.Service }
 
 // finish converts the partition's stepper state into the merge-ready
-// reduction, mirroring the legacy reductions' result shapes (including which
-// error shapes carry the probe device).
+// reduction. A cluster abort keeps the probe device alongside its error.
 func (p *simPart) finish(err error) devReduction {
 	if err != nil {
 		if p.gst != nil {
@@ -269,28 +259,5 @@ func runEngineReduction(perPart [][]int, devices int, specs []callSpec, outs []e
 		reds[pid] = sp.finish(errs[ei])
 		ei++
 	}
-	return reds
-}
-
-// runLegacyReduction is the retained pre-DES phase C: one goroutine per
-// partition running the serial reduction loop. It is the golden oracle the
-// engine path's byte-identity differential tests replay against (reached via
-// Config.legacyPhaseC).
-func runLegacyReduction(perPart [][]int, devices int, specs []callSpec, outs []execOut, cfg *Config, chaos, clustered bool) []devReduction {
-	reds := make([]devReduction, len(perPart))
-	replicas := max(1, cfg.Replicas)
-	var wg sync.WaitGroup
-	for p := range perPart {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if clustered {
-				reds[p] = reduceCluster(p/devices, (p%devices)*replicas, perPart[p], specs, outs, cfg)
-			} else {
-				reds[p] = reduceDevice(p/devices, perPart[p], specs, outs, cfg, chaos)
-			}
-		}(p)
-	}
-	wg.Wait()
 	return reds
 }

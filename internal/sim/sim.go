@@ -144,10 +144,6 @@ type Config struct {
 	// Report.BurnAlerts (and per-class counters). Requires open-loop Traffic;
 	// the zero value books no per-tenant state at all.
 	Burn traffic.BurnConfig
-	// legacyPhaseC routes the queueing reduction through the pre-DES serial
-	// per-partition loops instead of the event engine. Test-only: it is the
-	// golden oracle the byte-identity differential tests replay against.
-	legacyPhaseC bool
 }
 
 func (c Config) withDefaults() Config {
@@ -424,45 +420,6 @@ func (red *devReduction) summarize(specs []callSpec, slo *[traffic.NumClasses]fl
 	}
 }
 
-// reduceDevice replays one device's FCFS queue over the precomputed service
-// cycles. The four device queues are fully independent — each call belongs
-// to exactly one device and pipelines are per-device — so the four
-// reductions run concurrently and the merge only has to respect deviceOrder.
-func reduceDevice(d int, idxs []int, specs []callSpec, outs []execOut, cfg *Config, chaos bool) devReduction {
-	slot := deviceOrder[d]
-	dev, err := core.NewDevice(core.Config{Algo: slot.algo, Op: slot.op, Placement: cfg.Placement}, cfg.Pipelines)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	jobs := make([]core.Job, len(idxs))
-	svc := make([]float64, len(idxs))
-	var post []float64
-	var flt []int
-	if chaos {
-		post = make([]float64, len(idxs))
-		flt = make([]int, len(idxs))
-	}
-	slo := cfg.sloCycles()
-	for ji, ci := range idxs {
-		jobs[ji] = core.Job{Arrival: specs[ci].arrival, Priority: specs[ci].class}
-		if slo != nil {
-			jobs[ji].Target = slo[specs[ci].class]
-		}
-		svc[ji] = outs[ci].service
-		if chaos {
-			post[ji] = outs[ci].post
-			flt[ji] = outs[ci].faults
-		}
-	}
-	results, devStats, err := dev.ReplayPolicy(jobs, svc, post, flt, cfg.Resilience)
-	if err != nil {
-		return devReduction{err: err}
-	}
-	red := devReduction{dev: dev, results: results, idxs: idxs, stats: devStats}
-	red.summarize(specs, cfg.sloCycles())
-	return red
-}
-
 // Run replays cfg.Calls fleet calls through CDPU devices.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
@@ -509,10 +466,10 @@ func Run(cfg Config) (*Report, error) {
 	// merged in fixed partition order (slot-major, instance-minor): latencies
 	// concatenate in partition order and are summed in one loop, so the float
 	// accumulation order (and therefore the Report) is bit-identical to a
-	// serial pass at any worker count. The recovery-aware pass only
-	// materializes its extra per-job inputs when something can populate them;
-	// with the zero policy the stepper is arithmetically identical to Replay,
-	// keeping healthy Reports byte-stable.
+	// serial pass at any worker count. The stepper only reads its post and
+	// fault inputs when a storm or recovery policy can populate them, so a
+	// healthy replay runs the plain FCFS arithmetic and its Report stays
+	// byte-stable.
 	devices := max(1, cfg.Devices)
 	perPart := make([][]int, numDevices*devices)
 	for i, s := range specs {
@@ -521,12 +478,7 @@ func Run(cfg Config) (*Report, error) {
 	chaos := cfg.Storm != nil || cfg.Resilience.Enabled()
 	clustered := cfg.clusterMode()
 	replicas := max(1, cfg.Replicas)
-	var reds []devReduction
-	if cfg.legacyPhaseC {
-		reds = runLegacyReduction(perPart, devices, specs, outs, &cfg, chaos, clustered)
-	} else {
-		reds = runEngineReduction(perPart, devices, specs, outs, &cfg, chaos, clustered)
-	}
+	reds := runEngineReduction(perPart, devices, specs, outs, &cfg, chaos, clustered)
 	if err := firstReductionError(reds, len(specs)); err != nil {
 		return nil, err
 	}
